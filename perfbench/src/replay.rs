@@ -18,17 +18,16 @@ use crate::harness::{Checks, Workload};
 use crate::predict::edge_count;
 use crate::rng::Rng;
 use crate::spans::Recorder;
-use lumos_bench::harness::RunOptions;
-use lumos_cluster::{GroundTruthCluster, JitterModel, SimConfig};
+use lumos_bench::harness::{profile_config, RunOptions};
+use lumos_cluster::SimConfig;
 use lumos_core::{simulate, Lumos};
-use lumos_cost::AnalyticalCostModel;
 use lumos_model::ModelConfig;
 use lumos_trace::{
     from_chrome_json, to_chrome_json, BreakdownExt, ChromeTraceOptions, ClusterTrace, Dur,
 };
 
 /// The replayed deployments: (model, Figure 5 label).
-pub fn deployments(small: bool) -> Vec<SimConfig> {
+fn deployments(small: bool) -> Vec<SimConfig> {
     let mut out = vec![
         ground::deployment(ModelConfig::gpt3_15b(), "2x2x8"),
         ground::deployment(ModelConfig::gpt3_15b(), "2x4x4"),
@@ -43,16 +42,6 @@ pub fn deployments(small: bool) -> Vec<SimConfig> {
     out
 }
 
-/// The jitter seed `profile_config` gives a configuration under
-/// `opts`: the run seed, diversified by the configuration label.
-pub fn cluster_seed(config: &SimConfig, opts: &RunOptions) -> u64 {
-    let mut seed = opts.seed;
-    for b in config.label().bytes() {
-        seed = seed.wrapping_mul(0x100000001b3).wrapping_add(b as u64);
-    }
-    seed
-}
-
 /// One profiled deployment.
 pub struct Profiled {
     label: String,
@@ -63,58 +52,30 @@ pub struct Profiled {
     events: usize,
 }
 
-/// Profiles iteration 0 (the trace) and measures the actual time (the
-/// mean of the next `measured_iters` iterations), as `profile_config`
-/// does, and encodes the trace as Chrome JSON.
-///
-/// # Errors
-///
-/// Returns engine failures.
-pub fn profile(config: &SimConfig, rec: &mut Recorder) -> Result<Profiled, String> {
-    let opts = RunOptions::default();
-    let (output, actual) = rec.time("cluster.profile", || {
-        let cluster = GroundTruthCluster::new(config, AnalyticalCostModel::h100())
-            .map_err(|e| e.to_string())?
-            .with_jitter(JitterModel::realistic(cluster_seed(config, &opts)));
-        let output = cluster.profile_iteration(0).map_err(|e| e.to_string())?;
-        let mut total = Dur::ZERO;
-        for i in 0..opts.measured_iters as u64 {
-            total += cluster
-                .metrics_iteration(1 + i)
-                .map_err(|e| e.to_string())?
-                .makespan;
-        }
-        Ok::<_, String>((output, total / opts.measured_iters as u64))
-    })?;
-    let json = rec.time("trace.encode", || {
-        to_chrome_json(&output.trace, &ChromeTraceOptions::default())
+/// Profiles `config` with `profile_config` under its default run
+/// options (iteration 0 is the trace, the mean of the further
+/// iterations the actual time) and encodes the trace as Chrome JSON.
+fn profile(config: &SimConfig, rec: &mut Recorder) -> Profiled {
+    let p = rec.time("cluster.profile", || {
+        profile_config(config, &RunOptions::default())
     });
-    Ok(Profiled {
+    let json = rec.time("trace.encode", || {
+        to_chrome_json(&p.output.trace, &ChromeTraceOptions::default())
+    });
+    let trace = &p.output.trace;
+    Profiled {
         label: config.label(),
         json,
-        recorded: output.makespan,
-        actual,
-        ranks: output.trace.world_size(),
+        recorded: p.output.makespan,
+        actual: p.actual,
+        ranks: trace.world_size(),
         // Annotation ranges are markers, not tasks: replay keeps every
         // other event.
-        events: output
-            .trace
+        events: trace
             .ranks()
             .iter()
             .map(|r| r.len() - r.annotations().count())
             .sum(),
-    })
-}
-
-impl Profiled {
-    /// The actual time the replay is compared with.
-    pub fn actual(&self) -> Dur {
-        self.actual
-    }
-
-    /// The profiled iteration's makespan.
-    pub fn recorded(&self) -> Dur {
-        self.recorded
     }
 }
 
@@ -133,15 +94,13 @@ pub struct Replayed {
 impl Workload for Replay {
     type Out = Replayed;
 
-    /// One set-up is already six independent profile-and-encode passes
-    /// of about a second and a half each.
+    /// One set-up is already six independent profile-and-encode
+    /// passes, each seconds long.
     const SETUP_REPS: usize = 1;
 
     fn setup(seed: u64, small: bool, rec: &mut Recorder) -> Result<Self, String> {
-        let mut profiled = deployments(small)
-            .iter()
-            .map(|c| profile(c, rec))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut profiled: Vec<Profiled> =
+            deployments(small).iter().map(|c| profile(c, rec)).collect();
         Rng::new(seed, "replay/order").shuffle(&mut profiled);
         Ok(Replay { profiled })
     }

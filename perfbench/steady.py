@@ -2,17 +2,15 @@
 """Steadiness check: two alternated sets of runs of one build.
 
     python3 perfbench/steady.py [--runs 10] [--workloads predict,replay]
-                                [--first-seed 1] [--same-seeds]
 
 For every workload in BENCHMARK.json (or the ones named), runs the
 benchmark `--runs` times for set A and `--runs` times for set B,
-alternating A, B, A, B, ... Set A uses seeds first-seed.., set B the
-next `--runs` seeds (or A's seeds again with --same-seeds). For each
-end-to-end metric it prints each set's median and quartiles, the
-quartile spread as a share of the median, and how far B's median moved
-from A's in the metric's worse direction, then whether the sets agree:
-every spread except setup_s's within the metric's bound, every move
-within the bound, and the same share of failed ops in both sets.
+alternating A, B, A, B, ... Set A uses seeds 1..runs, set B the next
+`runs` seeds. For each end-to-end metric it prints each set's median
+and quartiles, the quartile spread as a share of the median, and how
+far B's median moved from A's in either direction, then whether the
+sets agree: both spreads within the metric's bound, the move within
+the bound, and the same share of failed ops in both sets.
 Exits 0 when everything agrees, 1 otherwise.
 """
 
@@ -50,8 +48,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--workloads")
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--same-seeds", action="store_true")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -59,8 +55,8 @@ def main():
     names = [w["name"] for w in spec["workloads"]]
     if args.workloads:
         names = args.workloads.split(",")
-    seeds_a = [args.first_seed + i for i in range(args.runs)]
-    seeds_b = seeds_a if args.same_seeds else [s + args.runs for s in seeds_a]
+    seeds_a = [1 + i for i in range(args.runs)]
+    seeds_b = [s + args.runs for s in seeds_a]
 
     ok = True
     for w in names:
@@ -93,10 +89,8 @@ def main():
             for name in "AB":
                 stats[name] = spread([r["metrics"][key]["value"] for r in sets[name]])
             med_a, med_b = stats["A"][0], stats["B"][0]
-            worse = (med_b - med_a) if m["better"] == "lower" else (med_a - med_b)
-            moved = worse / med_a if med_a else float("inf")
-            spread_ok = key == "setup_s" or all(stats[n][3] <= bound for n in "AB")
-            agree = spread_ok and moved <= bound
+            moved = abs(med_b - med_a) / med_a if med_a else float("inf")
+            agree = moved <= bound and all(stats[n][3] <= bound for n in "AB")
             ok &= agree
             for name in "AB":
                 med, q1, q3, sp = stats[name]

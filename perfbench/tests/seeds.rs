@@ -88,15 +88,3 @@ fn metrics_match_benchmark_json() {
         sorted(declared("per_layer"))
     );
 }
-
-/// `replay`'s actual time is the one the paper harness computes.
-#[test]
-fn replay_actual_matches_profile_config() {
-    use lumos_bench::harness::{profile_config, RunOptions};
-    let config = &perfbench::replay::deployments(true)[0];
-    let mut rec = perfbench::spans::Recorder::new(false, Instant::now());
-    let ours = perfbench::replay::profile(config, &mut rec).unwrap();
-    let theirs = profile_config(config, &RunOptions::default());
-    assert_eq!(ours.actual(), theirs.actual);
-    assert_eq!(ours.recorded(), theirs.output.makespan);
-}
